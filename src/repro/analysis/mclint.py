@@ -539,7 +539,7 @@ class _Linter:
         check, and never skip an instruction with a register/slot effect
         (the divergence sentinel compares full register files).
         """
-        from .typeflow import HOISTABLE, typed_plans
+        from .typeflow import HOISTABLE, analyze_typeflow, typed_plans
 
         try:
             plans = typed_plans(self.code)
@@ -553,7 +553,7 @@ class _Linter:
         if not plans:
             return
         spans = block_spans(self.instrs)
-        result = self.code._typeflow
+        result = analyze_typeflow(self.code)
         for bid, plan in sorted(plans.items()):
             if not 0 <= bid < len(spans) or (plan.start, plan.end) != spans[bid]:
                 self.error(

@@ -80,6 +80,7 @@ from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 from ..isa.base import CC, FRAME_BASE, MachineInstr, MOp
 from ..isa.semantics import abstract_transfer_of, effect_of, successors_of
 from ..jit.codegen import CodeObject
+from ..machine.artifacts import memoized
 from ..machine.blockjit import block_spans
 from ..values.maps import ElementsKind
 from ..values.tagged import pointer_tag
@@ -318,19 +319,31 @@ class _Site:
 
 class _Typeflow:
     def __init__(self, code: CodeObject) -> None:
-        self.code = code
+        # Keeps only plain data read off ``code`` (never the code object
+        # or its maps, which reach the engine): the analysis objects are
+        # shared process-wide through repro.machine.artifacts.
+        self.function = getattr(getattr(code.shared, "info", None), "name", "?")
+        self.target = code.target.name
+        self.deopt_kinds: Dict[int, str] = {
+            cid: point.kind.name
+            for cid, point in (getattr(code, "deopt_points", {}) or {}).items()
+        }
         self.instrs: List[MachineInstr] = list(code.instrs)
         self.count = len(self.instrs)
         self.spans = block_spans(self.instrs) if self.instrs else []
         self.block_at: Dict[int, int] = {
             start: bid for bid, (start, _end) in enumerate(self.spans)
         }
-        #: map word -> Map, for elements-kind / instance-type resolution
-        self.maps = {}
+        #: map word -> (instance-type name, elements kind), for
+        #: elements-kind / instance-type resolution
+        self.maps: Dict[int, Tuple[str, object]] = {}
         for a_map in getattr(code, "map_dependencies", ()) or ():
             address = getattr(a_map, "address", -1)
             if isinstance(address, int) and address >= 0:
-                self.maps[pointer_tag(address)] = a_map
+                self.maps[pointer_tag(address)] = (
+                    getattr(getattr(a_map, "instance_type", None), "name", ""),
+                    getattr(a_map, "elements_kind", None),
+                )
         self.sites: Dict[int, _Site] = {}
         self.entry_facts: Dict[int, FrozenSet[Fact]] = {}
         self.pc_facts: Dict[int, FrozenSet[Fact]] = {}
@@ -642,9 +655,9 @@ class _Typeflow:
             types.pop(key, None)
 
     def _shape_value(self, word: int) -> TypeVal:
-        a_map = self.maps.get(word)
-        if a_map is not None:
-            type_name = getattr(getattr(a_map, "instance_type", None), "name", "")
+        resolved = self.maps.get(word)
+        if resolved is not None:
+            type_name = resolved[0]
             if type_name == "HEAP_NUMBER":
                 return ("boxed-number", None)
             if type_name == "STRING":
@@ -733,9 +746,8 @@ class _Typeflow:
     # -- classification ---------------------------------------------------
 
     def _resolve_packed_smi(self, word: int) -> bool:
-        a_map = self.maps.get(word)
-        return a_map is not None and \
-            a_map.elements_kind == ElementsKind.PACKED_SMI
+        resolved = self.maps.get(word)
+        return resolved is not None and resolved[1] == ElementsKind.PACKED_SMI
 
     def _implied(self, state: FrozenSet[Fact], fact: Fact) -> Tuple[bool, str]:
         if fact in state:
@@ -829,10 +841,8 @@ class _Typeflow:
 
     def _classify(self) -> Dict[int, CheckClassification]:
         result: Dict[int, CheckClassification] = {}
-        points = getattr(self.code, "deopt_points", {}) or {}
         for bid, site in sorted(self.sites.items()):
-            point = points.get(site.check_id)
-            kind_name = point.kind.name if point is not None else ""
+            kind_name = self.deopt_kinds.get(site.check_id, "")
             entry = self.entry_facts.get(bid)
             if entry is None:
                 result[site.check_id] = CheckClassification(
@@ -915,9 +925,20 @@ class _Typeflow:
 
     # -- entry point ------------------------------------------------------
 
+    def check_facts(self) -> Dict[int, Optional[Fact]]:
+        """Each check site's passing fact by check id (None when the
+        condition has no fact in the language): the fact every
+        classification of :meth:`run` carries, found by the site scan
+        alone, without either fixpoint."""
+        if self.instrs:
+            self._find_sites()
+        return {
+            site.check_id: site.fact
+            for _bid, site in sorted(self.sites.items())
+        }
+
     def run(self) -> TypeflowResult:
-        name = getattr(getattr(self.code.shared, "info", None), "name", "?")
-        result = TypeflowResult(function=name, target=self.code.target.name)
+        result = TypeflowResult(function=self.function, target=self.target)
         result.body_instructions = sum(
             1 for i in self.instrs if i.op != MOp.DEOPT
         )
@@ -1023,6 +1044,11 @@ class VersionAnalysis:
         self._plan_cache: Dict[
             Tuple[int, FrozenSet[Fact]], Optional[TypedBlockPlan]
         ] = {}
+        #: (bid, extra facts) -> does entering ``bid`` with them pay?
+        #: Filled by :meth:`repro.machine.lbbv.VersionTable._chain_gain`,
+        #: whose answer depends only on this context and the static
+        #: typed plans, both functions of the code's content.
+        self.gain_memo: Dict[Tuple[int, FrozenSet[Fact]], bool] = {}
 
     def out_states(
         self, bid: int, entry,
@@ -1090,12 +1116,12 @@ class VersionAnalysis:
 
 def version_analysis(code: CodeObject) -> VersionAnalysis:
     """Run (or fetch the cached) version-analysis context; cached on
-    ``code._version_analysis`` like ``_typeflow`` (code objects are
-    immutable once generation finishes)."""
+    ``code._version_analysis`` like ``_typeflow``, and shared by every
+    code object of the same content (:mod:`repro.machine.artifacts`)."""
     cached = getattr(code, "_version_analysis", None)
     if cached is not None:
         return cached
-    ctx = VersionAnalysis(code)
+    ctx = memoized("versions", code, lambda: VersionAnalysis(code))
     code._version_analysis = ctx
     return ctx
 
@@ -1120,14 +1146,25 @@ def analyze_typeflow(code: CodeObject) -> TypeflowResult:
     """Run (or fetch the cached) typeflow analysis for one code object.
 
     Code objects are immutable once generation finishes, so the result
-    is cached on ``code._typeflow`` exactly like ``_decoded``/``_blocks``.
+    is cached on ``code._typeflow`` exactly like ``_decoded``/``_blocks``,
+    and shared by every code object of the same content
+    (:mod:`repro.machine.artifacts`): a re-optimisation that rebuilds
+    identical code, or another engine compiling the same body, reuses it.
     """
     cached = getattr(code, "_typeflow", None)
     if cached is not None:
         return cached
-    result = _Typeflow(code).run()
+    result = memoized("typeflow", code, lambda: _Typeflow(code).run())
     code._typeflow = result
     return result
+
+
+def check_facts(code: CodeObject) -> Dict[int, Optional[Fact]]:
+    """The passing fact of every check site, by check id, from the site
+    scan alone (see :meth:`_Typeflow.check_facts`); shared by content
+    like :func:`analyze_typeflow`.  The deoptless dispatcher reads a
+    failing check's fact here on every eager deopt."""
+    return memoized("check-facts", code, lambda: _Typeflow(code).check_facts())
 
 
 def typed_plans(code: CodeObject) -> Dict[int, TypedBlockPlan]:

@@ -88,6 +88,10 @@ class CodeObject:
         #: engine registers the object); with a check id this keys the
         #: dynamic check-trip profile the typeflow validator joins on.
         self.serial = -1
+        #: digest of everything the machine-code analyses read, keying
+        #: their process-wide memo (repro.machine.artifacts.content_key);
+        #: computed on first analysis, once generation has finished.
+        self._content_key: Optional[str] = None
         #: cached repro.analysis.typeflow result (immutable, like _decoded).
         self._typeflow: Optional[object] = None
         #: cached repro.analysis.typeflow.VersionAnalysis context (the

@@ -63,6 +63,7 @@ from ..isa.base import CC, REG_PC, REG_RE
 from ..isa.semantics import fused_block_leaders
 from ..jit.codegen import THIS_REG
 from ..jit.deopt import DeoptSignal
+from .artifacts import compile_source
 from .dispatch import (
     K_ADDS,
     K_ADDSI,
@@ -124,14 +125,6 @@ if TYPE_CHECKING:
     from .executor import Executor
 
 _UINT32 = 4294967295
-
-#: process-wide source -> compiled module cache.  The generated source
-#: embeds every literal (operands, costs, smi bounds, predictor mask), so
-#: identical source means identical bytecode; re-running a benchmark in
-#: the same process (grid reps, cold-vs-warm cache measurements) skips
-#: ``compile()`` entirely and only pays the per-executor ``exec``.
-_COMPILED_SOURCES: Dict[str, object] = {}
-
 
 def default_blockjit() -> bool:
     """Process-wide default for block-compiled execution (REPRO_BLOCKJIT)."""
@@ -442,11 +435,7 @@ class _BlockCompiler:
         # per block, per-call compile() overhead would otherwise dominate
         # the first-run cost of every cell.
         source = "\n".join(sources)
-        compiled = _COMPILED_SOURCES.get(source)
-        if compiled is None:
-            compiled = _COMPILED_SOURCES[source] = compile(
-                source, "<blockjit>", "exec"
-            )
+        compiled = compile_source(source, "<blockjit>", compile)
         exec(compiled, self.glb)  # noqa: S102 - generated from decoded instrs
         for bid, block in enumerate(table.blocks):
             block.fused = self.glb.pop(f"_blk_f{bid}")

@@ -178,23 +178,24 @@ def continuation_token(code, check_id: int) -> str:
     classifications speak, so seeded lattice entries and dynamically
     discovered states share one namespace.  Checks whose condition has
     no fact in the analysis language fall back to the check kind: one
-    generic continuation per kind.
+    generic continuation per kind.  The fact comes from the check-site
+    scan alone (the fact each classification carries), so a deopt never
+    pays for the whole-function fixpoint.
     """
-    from ..analysis.typeflow import analyze_typeflow, render_fact
+    from ..analysis.typeflow import render_fact
 
-    verdict = analyze_typeflow(code).classifications.get(check_id)
-    if verdict is not None and verdict.fact is not None:
-        return "!" + render_fact(verdict.fact)
+    fact = dispatch_fact(code, check_id)
+    if fact is not None:
+        return "!" + render_fact(fact)
     point = code.deopt_points.get(check_id)
     return "!" + (point.kind.name if point is not None else f"check{check_id}")
 
 
 def dispatch_fact(code, check_id: int):
     """The failing guard's fact (or None) for sentinel re-evaluation."""
-    from ..analysis.typeflow import analyze_typeflow
+    from ..analysis.typeflow import check_facts
 
-    verdict = analyze_typeflow(code).classifications.get(check_id)
-    return verdict.fact if verdict is not None else None
+    return check_facts(code).get(check_id)
 
 
 # ---------------------------------------------------------------------------

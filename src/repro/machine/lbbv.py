@@ -59,7 +59,8 @@ from __future__ import annotations
 import os
 from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Tuple
 
-from .blockjit import _COMPILED_SOURCES, _BlockCompiler
+from .artifacts import compile_source
+from .blockjit import _BlockCompiler
 
 if TYPE_CHECKING:
     from ..jit.codegen import CodeObject
@@ -172,7 +173,6 @@ class VersionTable:
         self.rechained: Dict[int, Dict[int, int]] = {}
         self._rechain_fns: Dict[int, object] = {}
         self._rechain_placeholders: Dict[int, object] = {}
-        self._gain_memo: Dict[Tuple[int, FrozenSet], bool] = {}
         self._key_memo: Dict[FrozenSet, FrozenSet] = {}
         self._seeding = False
         self._compiler: Optional[_VersionCompiler] = None
@@ -335,8 +335,10 @@ class VersionTable:
         at all, or a plan behind entry guards).  Keeps seeding and the
         compile-time chain walk from minting pass-through versions that
         can never elide anything."""
+        # Shared by every table over the same content: an active table's
+        # typed_plans are exactly typed_plans(code), like the context.
         memo_key = (bid, extra)
-        cached = self._gain_memo.get(memo_key)
+        cached = self.ctx.gain_memo.get(memo_key)
         if cached is not None:
             return cached
         seen = set()
@@ -360,7 +362,7 @@ class VersionTable:
             for succ, out in self.ctx.out_states(b, frozenset(state)):
                 if 0 <= succ < self.n_base:
                     frontier.append((succ, out))
-        self._gain_memo[memo_key] = gain
+        self.ctx.gain_memo[memo_key] = gain
         return gain
 
     def request(self, bid: int, key) -> int:
@@ -519,11 +521,7 @@ class VersionTable:
         finally:
             compiler.redirect = {}
         source = "\n".join(sources)
-        compiled = _COMPILED_SOURCES.get(source)
-        if compiled is None:
-            compiled = _COMPILED_SOURCES[source] = compile(
-                source, "<lbbv>", "exec"
-            )
+        compiled = compile_source(source, "<lbbv>", compile)
         exec(compiled, compiler.glb)  # noqa: S102 - generated from decoded
         fn = compiler.glb.pop(f"_blk_f{bid}")
         self._rechain_fns[bid] = fn
@@ -631,11 +629,7 @@ class VersionTable:
                 .replace(f"_blk_g{bid}(", f"{gname}(")
                 + "\n" + source
             )
-        compiled = _COMPILED_SOURCES.get(source)
-        if compiled is None:
-            compiled = _COMPILED_SOURCES[source] = compile(
-                source, "<lbbv>", "exec"
-            )
+        compiled = compile_source(source, "<lbbv>", compile)
         exec(compiled, compiler.glb)  # noqa: S102 - generated from decoded
         fn = compiler.glb.pop(f"_vb{version.index}")
         version.compiled = fn
@@ -714,11 +708,7 @@ class VersionTable:
             f"def _vd{bid}(regs, fregs, frame, special, heap, cycles):\n"
             + "".join(f"    {line}\n" for line in lines)
         )
-        compiled = _COMPILED_SOURCES.get(source)
-        if compiled is None:
-            compiled = _COMPILED_SOURCES[source] = compile(
-                source, "<lbbv>", "exec"
-            )
+        compiled = compile_source(source, "<lbbv>", compile)
         exec(compiled, compiler.glb)  # noqa: S102 - generated guard tests
         dispatcher = compiler.glb.pop(f"_vd{bid}")
         cost, _fused, stepped = self.table.driver[bid]

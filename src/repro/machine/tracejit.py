@@ -68,8 +68,8 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from ..isa.semantics import fused_block_edges
 from ..jit.codegen import THIS_REG
+from .artifacts import compile_source
 from .blockjit import (
-    _COMPILED_SOURCES,
     K_B,
     K_BCC,
     K_CALL_DYN,
@@ -264,11 +264,7 @@ class TraceTable:
         if not pending:
             return
         source = "\n".join(sources)
-        compiled = _COMPILED_SOURCES.get(source)
-        if compiled is None:
-            compiled = _COMPILED_SOURCES[source] = compile(
-                source, "<tracejit>", "exec"
-            )
+        compiled = compile_source(source, "<tracejit>", compile)
         glb = compiler.glb
         exec(compiled, glb)  # noqa: S102 - generated from decoded instrs
         for info, auditable in pending:

@@ -109,6 +109,9 @@ class Heap:
         self.words: List[Word] = [None]
         self._sizes: Dict[int, int] = {}
         self._free: List[Tuple[int, int]] = []  # (size, addr) blocks
+        #: request size -> free-list index where its first-fit scan may
+        #: start: every block before it is smaller than the size
+        self._scan_from: Dict[int, int] = {}
         self._map_cells: set = set()  # addresses of Map cells (immortal)
         self.maps = MapRegistry()
         self.allocations = 0
@@ -163,20 +166,34 @@ class Heap:
             raise HeapError(f"write out of heap at {address}+{offset}") from exc
 
     def _allocate(self, size: int) -> int:
-        """First-fit from the free list, else bump allocation."""
+        """First-fit from the free list, else bump allocation.
+
+        The scan for ``size`` resumes at ``_scan_from[size]``, past blocks
+        an earlier scan already found too small.  Blocks only shrink
+        (splits) or are appended (sweeps), which keeps every hint valid;
+        a pop shifts the blocks after it, so hints past it step back.
+        """
         self.allocations += 1
         self.allocated_words += size
-        for index, (block_size, addr) in enumerate(self._free):
+        free = self._free
+        for index in range(self._scan_from.get(size, 0), len(free)):
+            block_size, addr = free[index]
             if block_size >= size:
+                self._scan_from[size] = index
                 if block_size == size:
-                    self._free.pop(index)
+                    free.pop(index)
+                    hints = self._scan_from
+                    for other, start in hints.items():
+                        if start > index:
+                            hints[other] = start - 1
                 else:
                     # Allocate from the front of the block, shrink the rest.
-                    self._free[index] = (block_size - size, addr + size)
+                    free[index] = (block_size - size, addr + size)
                 self._sizes[addr] = size
                 for i in range(size):
                     self.words[addr + i] = None
                 return addr
+        self._scan_from[size] = len(free)
         addr = len(self.words)
         self.words.extend([None] * size)
         self._sizes[addr] = size

@@ -27,6 +27,7 @@ from repro.isa.semantics import AbstractTransfer, abstract_transfer_of
 from repro.jit.checks import CheckKind
 from repro.jit.codegen import CodeObject
 from repro.jit.deopt import DeoptPoint
+from repro.machine import artifacts
 from repro.suite import compile_benchmark, get_benchmark
 
 SMI = ("smi", None)
@@ -155,6 +156,17 @@ def test_cross_validation_clean_on_real_run():
 # -- seeded unsoundness (mutation test) -----------------------------------
 
 
+@pytest.fixture
+def fresh_artifacts():
+    """The mutation tests swap the abstract transfer function.  Analysis
+    results are memoized by code content, so clear the memo before the
+    test (the seeded transfer must really be analysed) and after it (no
+    later test may see a result the unsound transfer produced)."""
+    artifacts.clear()
+    yield
+    artifacts.clear()
+
+
 def _smi_check_code():
     """ADD of an even and an odd constant, then a smi (tag-bit) check:
     the result really is tagged, so the check is genuinely load-bearing."""
@@ -185,7 +197,9 @@ def test_sound_transfer_keeps_real_check_required():
     assert cross_validate([code], {(0, 0): 5}) == []
 
 
-def test_unsound_transfer_is_rejected_by_cross_validation(monkeypatch, tmp_path):
+def test_unsound_transfer_is_rejected_by_cross_validation(
+    monkeypatch, tmp_path, fresh_artifacts,
+):
     """Seed the one bug class the validator exists for: an abstract
     transfer claiming ADD always produces an SMI.  The analysis then
     proves the tag check redundant; a single recorded dynamic trip must
@@ -214,7 +228,7 @@ def test_unsound_transfer_is_rejected_by_cross_validation(monkeypatch, tmp_path)
     assert record["kind"] == "typeflow-unsound"
 
 
-def test_unsound_transfer_never_reaches_typed_plans(monkeypatch):
+def test_unsound_transfer_never_reaches_typed_plans(monkeypatch, fresh_artifacts):
     """Even before any dynamic evidence, a wrongly-redundant check makes
     an (unguarded) typed plan — this documents why cross-validation and
     the divergence sentinel exist.  The plan must still satisfy the

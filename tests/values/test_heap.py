@@ -11,7 +11,7 @@ from repro.values.heap import (
     HeapError,
 )
 from repro.values.maps import ElementsKind, InstanceType
-from repro.values.tagged import is_heap_pointer, is_smi, pointer_untag
+from repro.values.tagged import is_heap_pointer, is_smi, pointer_tag, pointer_untag
 
 
 @pytest.fixture
@@ -239,3 +239,65 @@ class TestReserveRegion:
         assert heap.words[start] == 12345  # never swept
         fresh = heap.alloc_number(1.0)
         assert pointer_untag(fresh) >= start + 64  # never reused by alloc
+
+
+class _FullScanHeap(Heap):
+    """The allocator before scan-start hints: first fit from index 0."""
+
+    def _allocate(self, size):
+        self.allocations += 1
+        self.allocated_words += size
+        for index, (block_size, addr) in enumerate(self._free):
+            if block_size >= size:
+                if block_size == size:
+                    self._free.pop(index)
+                else:
+                    self._free[index] = (block_size - size, addr + size)
+                self._sizes[addr] = size
+                for i in range(size):
+                    self.words[addr + i] = None
+                return addr
+        addr = len(self.words)
+        self.words.extend([None] * size)
+        self._sizes[addr] = size
+        return addr
+
+
+class TestScanHints:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_addresses_match_a_full_first_fit_scan(self, seed):
+        """Random allocations of mixed sizes interleaved with collections
+        that free random subsets: the hinted scan must hand out exactly
+        the addresses the full scan does (map words and the cache models
+        depend on them)."""
+        import random
+
+        rng = random.Random(seed)
+        hinted, reference = Heap(), _FullScanHeap()
+        live = []
+        for _ in range(60):
+            for _ in range(rng.randint(1, 40)):
+                size = rng.choice((1, 2, 2, 3, 4, 5, 8, rng.randint(1, 24)))
+                addr = hinted._allocate(size)
+                assert reference._allocate(size) == addr
+                live.append(addr)
+            live = [addr for addr in live if rng.random() < 0.4]
+            roots = [pointer_tag(addr) for addr in live]
+            assert hinted.collect(roots) == reference.collect(roots)
+            assert hinted._free == reference._free
+        assert hinted.words == reference.words
+        assert hinted._sizes == reference._sizes
+
+    def test_real_objects_keep_their_addresses(self):
+        """Boxed numbers, strings and arrays through a collection."""
+        hinted, reference = Heap(), _FullScanHeap()
+        for heap in (hinted, reference):
+            kept = [heap.to_word([1, 2.5, "x"]) for _ in range(5)]
+            for i in range(40):
+                heap.alloc_number(i + 0.5)
+                heap.alloc_string(f"s{i}")
+            heap.collect(kept)
+            for i in range(60):
+                heap.to_word([i, i + 0.25])
+        assert hinted.words == reference.words
+        assert hinted._free == reference._free
